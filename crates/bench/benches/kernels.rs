@@ -9,6 +9,13 @@
 //! records the packed-vs-oracle speedup so the perf trajectory of the
 //! BLIS-style kernels is visible per shape.
 //!
+//! The `matmul_a_bt 8x4096x4096 dNN dense|csr` rows time the serve
+//! bench's batch-8 hidden layer at each weight density under `PACKED`,
+//! without and with a forced CSR sidecar: the crossover behind
+//! `pv_tensor::DEFAULT_MAX_DENSITY`. The 0.05 pair gives the JSON's
+//! `sparse_speedup_r95` (dense / CSR time). Their `flops` count the
+//! dense product, so CSR GF/s is an effective rate.
+//!
 //! Emits `BENCH_kernels.json` in the working directory so future PRs can
 //! track the perf trajectory, and prints a before/after table against the
 //! committed baseline when one is readable.
@@ -25,7 +32,7 @@
 use pv_nn::{cross_entropy, models, Mode};
 use pv_tensor::par::{num_threads, set_thread_override};
 use pv_tensor::{conv2d_backward, conv2d_forward, matmul, matmul_a_bt, matmul_at_b};
-use pv_tensor::{Backend, SCALAR};
+use pv_tensor::{Backend, PACKED, SCALAR};
 use pv_tensor::{ConvGeometry, Rng, Tensor};
 use std::time::Instant;
 
@@ -127,10 +134,10 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
-fn write_json(rows: &[BenchRow]) {
+fn write_json(rows: &[BenchRow], sparse_speedup_r95: f64) {
     let mut out = String::from("{\n  \"benchmark\": \"kernels\",\n  \"unit\": \"seconds\",\n");
     out.push_str(&format!(
-        "  \"parallel_threads\": {},\n  \"rows\": [\n",
+        "  \"parallel_threads\": {},\n  \"sparse_speedup_r95\": {sparse_speedup_r95:.3},\n  \"rows\": [\n",
         num_threads()
     ));
     for (i, r) in rows.iter().enumerate() {
@@ -257,6 +264,38 @@ fn main() {
         ));
     }
 
+    // -- dense vs CSR at the serving shape, per weight density ------------
+    let (m, k, n) = (8usize, 4096usize, 4096usize);
+    let a = Tensor::rand_uniform(&[m, k], -1.0, 1.0, &mut rng);
+    for density in [0.50, 0.25, 0.15, 0.10, 0.05] {
+        let mut w = Tensor::from_fn(&[n, k], |_| {
+            if rng.chance(density) {
+                rng.uniform_in(-1.0, 1.0)
+            } else {
+                0.0
+            }
+        });
+        for tag in ["dense", "csr"] {
+            if tag == "csr" {
+                assert!(w.ensure_csr(1.0), "forced sidecar");
+            }
+            rows.push(bench_gemm(
+                &format!("matmul_a_bt {m}x{k}x{n} d{density:.2} {tag}"),
+                (m * k * n) as u64,
+                runs,
+                || PACKED.matmul_a_bt(&a, &w),
+                || SCALAR.matmul_a_bt(&a, &w),
+            ));
+        }
+    }
+    let secs = |name: &str| {
+        rows.iter()
+            .find(|r| r.name == name)
+            .map_or(f64::NAN, |r| r.serial_secs)
+    };
+    let sparse_speedup_r95 =
+        secs("matmul_a_bt 8x4096x4096 d0.05 dense") / secs("matmul_a_bt 8x4096x4096 d0.05 csr");
+
     // -- conv layer shapes from the CIFAR stand-in CNN -------------------
     let g = ConvGeometry::new(3, 1, 1);
     for &(nb, c, hw, f) in &[(32usize, 3usize, 16usize, 16usize), (32, 16, 16, 32)] {
@@ -305,6 +344,7 @@ fn main() {
         assert_eq!(serial, parallel, "serial/parallel outputs diverged");
     }
 
+    println!("\nsparse speedup at 95% sparsity (8x4096x4096, dense/CSR): {sparse_speedup_r95:.2}x");
     println!(
         "\n{:<34} {:>12} {:>12} {:>9} {:>10} {:>11}",
         "kernel", "serial", "parallel", "speedup", "GFLOP/s", "vs oracle"
@@ -389,7 +429,7 @@ fn main() {
             baseline.len()
         );
     } else {
-        write_json(&rows);
+        write_json(&rows, sparse_speedup_r95);
         println!(
             "\nwrote BENCH_kernels.json ({} threads available)",
             num_threads()

@@ -528,7 +528,7 @@ pub fn serve(args: &ParsedArgs) -> Result<(), Error> {
     let backend = match args.options.get("backend") {
         Some(name) => Some(pv_tensor::backend_by_name(name).ok_or_else(|| {
             Error::Parse(format!(
-                "--backend: unknown backend '{name}' (expected one of: scalar, packed, sparse)"
+                "--backend: unknown backend '{name}' (expected one of: scalar, packed)"
             ))
         })?),
         None => None,

@@ -89,8 +89,8 @@ COMMANDS:
                                       family as parent / separate / cycleNN
                   --rep <n>           repetition the family was saved with
                   --backend <b>       pin every model to a kernel backend
-                                      (scalar | packed | sparse; default:
-                                      process backend, i.e. PV_BACKEND)
+                                      (scalar | packed; default: process
+                                      backend, i.e. PV_BACKEND)
                   --compact           physically shrink structurally pruned
                                       (FT/PFP) family members to their
                                       surviving units at load time

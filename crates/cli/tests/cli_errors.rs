@@ -65,6 +65,7 @@ fn bogus_flag_values_fail() {
     assert_fails_with_error(&["study", "--method", "nope"]);
     assert_fails_with_error(&["serve", "--max-batch", "not-a-number"]);
     assert_fails_with_error(&["serve", "--backend", "cuda"]);
+    assert_fails_with_error(&["serve", "--backend", "sparse"]);
     assert_fails_with_error(&["loadgen", "--requests", "many"]);
 }
 

@@ -399,10 +399,10 @@ impl Network {
     }
 
     /// Builds CSR sidecars ([`Tensor::ensure_csr`]) for every weight at or
-    /// below `max_density` nonzero fraction, so the sparse backend's CSR
-    /// kernels engage on the next forward pass. Returns how many weights
+    /// below `max_density` nonzero fraction, so the packed backend's CSR
+    /// route engages on the next forward pass. Returns how many weights
     /// carry a sidecar afterwards. Idempotent; denser weights are left
-    /// alone and keep taking the dense fallback.
+    /// alone and stay on the packed pipeline.
     pub fn prepare_sparse(&mut self, max_density: f32) -> usize {
         let mut n = 0;
         self.visit_params(&mut |p| {

@@ -8,8 +8,8 @@
 //! adds compose. Any backend that drifts by one ULP anywhere in the
 //! chain fails `assert_eq!` on the raw `f32` storage.
 
-use pv_nn::{models, Mode};
-use pv_tensor::{all_backends, with_backend, Rng, Tensor, SCALAR};
+use pv_nn::{models, Mode, ParamKind};
+use pv_tensor::{all_backends, with_backend, Rng, Tensor, DEFAULT_MAX_DENSITY, SCALAR};
 
 /// Forward the same freshly seeded network under `backend` and return the
 /// logits. Each call rebuilds the network so running-stat mutation in one
@@ -61,6 +61,36 @@ fn training_step_is_bitwise_identical_across_backends() {
                 .zip(&want)
                 .all(|(a, b)| a.to_bits() == b.to_bits()),
             "post-step logits diverged on the '{}' backend",
+            be.name()
+        );
+    }
+}
+
+#[test]
+fn csr_prepared_wt95_mlp_forward_matches_the_scalar_oracle() {
+    // keep the largest 5% of each weight's magnitudes, as WT at 95% does
+    let mut net = models::mlp("wt95", 64, &[96, 48], 10, false, 21);
+    net.visit_params(&mut |p| {
+        if p.kind == ParamKind::Weight {
+            let mut mags: Vec<f32> = p.value.data().iter().map(|v| v.abs()).collect();
+            mags.sort_by(f32::total_cmp);
+            let cut = mags[mags.len() * 95 / 100];
+            p.set_mask(p.value.map(|v| f32::from(v.abs() >= cut)));
+        }
+    });
+    let x = Tensor::rand_uniform(&[5, 64], -1.0, 1.0, &mut Rng::new(22));
+    let want = with_backend(&SCALAR, || net.forward(&x, Mode::Eval));
+    assert_eq!(
+        net.prepare_sparse(DEFAULT_MAX_DENSITY),
+        3,
+        "every layer goes CSR"
+    );
+    for be in all_backends() {
+        let got = with_backend(*be, || net.forward(&x, Mode::Eval));
+        assert_eq!(
+            got,
+            want,
+            "CSR-prepared forward diverged on '{}'",
             be.name()
         );
     }

@@ -77,13 +77,16 @@ fn compaction_matches(method: &dyn PruneMethod, with_bn: bool, seed: u64) {
         method.name()
     );
 
-    // the compacted network also serves identically through the sparse
-    // backend (its small dense weights take the dense fallback)
-    let c = pv_tensor::with_backend(&pv_tensor::SPARSE, || compacted.forward(&probe, Mode::Eval));
+    // the compacted network also serves identically after admission-time
+    // preparation under the packed backend (its small dense weights get
+    // no sidecar and stay on the packed pipeline)
+    let mut served = compacted.clone();
+    served.prepare_sparse(pv_tensor::DEFAULT_MAX_DENSITY);
+    let c = pv_tensor::with_backend(&pv_tensor::PACKED, || served.forward(&probe, Mode::Eval));
     assert_eq!(
         b,
         c,
-        "{} (bn={with_bn}): sparse backend disagrees",
+        "{} (bn={with_bn}): prepared packed forward disagrees",
         method.name()
     );
 }

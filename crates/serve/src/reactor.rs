@@ -467,6 +467,15 @@ impl Reactor {
                     req.input.shape()
                 ),
             )),
+            // the CSR kernels skip zero weights, which matches the oracle
+            // only for finite activations (0 × Inf is NaN in a dense chain)
+            Some(_) if !req.input.all_finite() => {
+                pv_obs::counter_add("serve/nonfinite_inputs", 1.0);
+                Some(Response::failure(
+                    Status::BadRequest,
+                    "payload contains NaN or infinite values",
+                ))
+            }
             Some(_) => None,
         };
         if let Some(resp) = reject {

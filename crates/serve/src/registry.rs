@@ -9,12 +9,16 @@
 //! cannot propagate its own declared input shape to its class count is
 //! rejected at load time, never discovered mid-request.
 //!
+//! Admission ([`ModelRegistry::insert`], which every load and reload
+//! path goes through) also gives each sparse-enough weight a CSR sidecar,
+//! which the packed backend routes through the sparse kernels.
+//!
 //! Each entry can carry a kernel-backend override
 //! ([`ModelRegistry::set_backend`], surfaced by the `serve --backend`
 //! CLI flag): workers wrap that model's forward passes in a
-//! [`pv_tensor::with_backend`] scope, so different models on one server
-//! can run different backends. Entries without an override follow the
-//! process default (`PV_BACKEND`).
+//! [`pv_tensor::with_backend`] scope, so one model can be bisected
+//! against the scalar oracle on a live server. Entries without an
+//! override follow the process default (`PV_BACKEND`).
 
 use pv_ckpt::{read_network_state, Checkpoint};
 use pv_nn::Network;
@@ -61,14 +65,18 @@ impl ModelRegistry {
         Self::default()
     }
 
-    /// Admits `net` under `id` after shape validation.
+    /// Admits `net` under `id` after shape validation, building CSR
+    /// sidecars for its weights at or below
+    /// [`pv_tensor::DEFAULT_MAX_DENSITY`] here, off the request path:
+    /// worker threads clone the entry (sidecars are `Arc`-shared) and
+    /// never pay the scan.
     ///
     /// # Errors
     ///
     /// Returns [`Error::Serve`] if the id is empty or already taken, and
     /// [`Error::ShapeMismatch`] if the network fails static shape
     /// inference.
-    pub fn insert(&mut self, id: impl Into<String>, net: Network) -> Result<()> {
+    pub fn insert(&mut self, id: impl Into<String>, mut net: Network) -> Result<()> {
         let id = id.into();
         if id.is_empty() {
             return Err(Error::Serve("model id must be non-empty".into()));
@@ -77,6 +85,8 @@ impl ModelRegistry {
             return Err(Error::Serve(format!("model id '{id}' already registered")));
         }
         net.infer_shapes()?;
+        let built = net.prepare_sparse(pv_tensor::DEFAULT_MAX_DENSITY);
+        pv_obs::counter_add("serve/csr_sidecars", built as f64);
         self.models.insert(id, ModelEntry { net, backend: None });
         Ok(())
     }
@@ -127,13 +137,8 @@ impl ModelRegistry {
         self.models.get(id).map(|e| e.net.input_shape())
     }
 
-    /// Pins the kernel backend for one model's forward passes.
-    ///
-    /// Pinning the `sparse` backend also builds CSR side-cars for every
-    /// weight tensor at or below [`pv_tensor::DEFAULT_MAX_DENSITY`] right
-    /// here, at admission time — worker threads clone the entry (side-cars
-    /// are `Arc`-shared) and serve without ever paying the scan on the
-    /// request path.
+    /// Pins the kernel backend for one model's forward passes (the
+    /// scalar oracle to bisect a suspect model, or packed).
     ///
     /// # Errors
     ///
@@ -141,10 +146,6 @@ impl ModelRegistry {
     pub fn set_backend(&mut self, id: &str, backend: &'static dyn Backend) -> Result<()> {
         match self.models.get_mut(id) {
             Some(entry) => {
-                if backend.name() == "sparse" {
-                    let built = entry.net.prepare_sparse(pv_tensor::DEFAULT_MAX_DENSITY);
-                    pv_obs::counter_add("serve/csr_sidecars", built as f64);
-                }
                 entry.backend = Some(backend);
                 Ok(())
             }
@@ -308,10 +309,11 @@ mod tests {
         });
         let mut reg = ModelRegistry::new();
         reg.insert("s", sparse_net).expect("admits");
+        // the retired name pins packed; the sidecar comes from insert
         reg.set_backend("s", &pv_tensor::SPARSE).expect("known id");
-        assert_eq!(reg.backend_name("s"), Some("sparse"));
+        assert_eq!(reg.backend_name("s"), Some("packed"));
 
-        // worker clones share the Arc'd side-car built at admission
+        // worker clones share the Arc'd sidecar insert built at admission
         let mut clones = reg.clone_models();
         let mut with_sidecar = Vec::new();
         clones

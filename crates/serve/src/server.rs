@@ -6,10 +6,10 @@
 //! 1. the **reactor** thread ([`crate::reactor`]) accepts connections
 //!    nonblockingly, applies the connection cap with an explicit `Busy`,
 //!    reassembles PVSR frames through per-connection state machines,
-//!    validates model id and payload shape against the current
-//!    [`SharedRegistry`] snapshot, and pushes a [`Job`] into the bounded
-//!    [`JobQueue`] — answering `Busy` when the queue rejects it and
-//!    `BadRequest` / `UnknownModel` without ever touching a worker;
+//!    validates model id, payload shape and payload finiteness against
+//!    the current [`SharedRegistry`] snapshot, and pushes a [`Job`] into
+//!    the bounded [`JobQueue`] — answering `Busy` when the queue rejects
+//!    it and `BadRequest` / `UnknownModel` without ever touching a worker;
 //! 2. a **worker** thread coalesces same-model jobs into one forward
 //!    batch (deadline-driven, see [`crate::batcher`]), executes it on its
 //!    private network clones, and delivers per-row logits back through

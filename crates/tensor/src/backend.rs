@@ -2,21 +2,22 @@
 //!
 //! A [`Backend`] owns the full hot-kernel surface — the three GEMM
 //! flavours, `matvec`, the im2col/col2im pair, convolution forward +
-//! backward, and max pooling. Three implementations ship today:
+//! backward, and max pooling. Two implementations ship:
 //!
 //! * [`ScalarBackend`] (`"scalar"`) — the naive `mul_add` oracle, promoted
 //!   from a test-only helper to a first-class backend;
 //! * [`PackedBackend`] (`"packed"`) — the BLIS-style packed pipeline with
-//!   its shape-keyed routine selector ([`fn@crate::select`]);
-//! * [`SparseBackend`] (`"sparse"`) — CSR kernels for pruned weights
-//!   carrying a [`Tensor::ensure_csr`] sidecar, packed fallback otherwise
-//!   (see [`crate::sparse`] and DESIGN.md §15).
+//!   its shape-keyed routine selector ([`fn@crate::select`]), plus the CSR
+//!   kernels of [`crate::sparse`] for weights carrying a
+//!   [`Tensor::ensure_csr`] sidecar (see DESIGN.md §15). How a weight is
+//!   stored is a property of the weight, prepared once at admission, not
+//!   a separate backend.
 //!
 //! Every backend is required (and conformance-tested, see
 //! `crates/tensor/tests/backend_conformance.rs`) to be **bitwise
 //! identical** to [`ScalarBackend`] on every shape at every
 //! `PV_NUM_THREADS` — the PR 6 numeric contract generalized so future
-//! sparse/quantized backends inherit an oracle for free. The convolution
+//! quantized backends inherit an oracle for free. The convolution
 //! and pooling methods have default bodies composed from the backend's
 //! own GEMMs plus shared data-movement code (im2col gathers, layout
 //! folds), so a new backend only implements the four products and the
@@ -267,6 +268,15 @@ impl Backend for ScalarBackend {
 /// (shape-keyed routine selection, register panels, full-`k` microkernel
 /// tiles, `PV_NUM_THREADS` row partitioning). Bitwise identical to
 /// [`ScalarBackend`] by the DESIGN.md §12 contract.
+///
+/// The weight-stationary products also route on the weight's CSR sidecar:
+/// `matmul_a_bt` (linear forward, weight is `b`) and `matvec`
+/// (single-sample forward, weight is `a`) run the [`crate::sparse`]
+/// kernels when the weight carries one (built by [`Tensor::ensure_csr`],
+/// typically at model admission), so a 90%+-pruned weight skips its
+/// zeros while activations, gradients and dense layers keep the packed
+/// pipeline. `matmul`/`matmul_at_b` (backward products over dense
+/// activations) never take a CSR route.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PackedBackend;
 
@@ -277,56 +287,12 @@ impl Backend for PackedBackend {
 
     fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k, n) = ab_dims(a, b);
-        gemm("packed", Variant::Ab, a.data(), b.data(), m, k, n)
+        gemm(Variant::Ab, a.data(), b.data(), m, k, n)
     }
 
     fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
         let (m, k, n) = atb_dims(a, b);
-        gemm("packed", Variant::AtB, a.data(), b.data(), m, k, n)
-    }
-
-    fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k, n) = abt_dims(a, b);
-        gemm("packed", Variant::ABt, a.data(), b.data(), m, k, n)
-    }
-
-    fn matvec(&self, a: &Tensor, x: &Tensor) -> Tensor {
-        matvec_dims(a, x);
-        packed_matvec("packed", a, x)
-    }
-}
-
-/// The sparse serving backend: routes the weight-stationary products of a
-/// pruned model through the CSR kernels in [`crate::sparse`] whenever the
-/// weight operand carries a CSR sidecar (built by [`Tensor::ensure_csr`],
-/// typically at model-admission time), and falls back to the packed
-/// pipeline — bitwise identical to scalar, like every backend — when it
-/// does not.
-///
-/// The sidecar is the routing signal because sparsity is a property of a
-/// *specific tensor* (a pruned weight), not of a shape: activations,
-/// gradients, and dense layers keep full packed speed under
-/// `PV_BACKEND=sparse`, while 90%+-pruned weights skip their zeros. Only
-/// the weight-stationary flavours have CSR paths — `matmul_a_bt` (linear
-/// forward, weight is `b`) and `matvec` (single-sample forward, weight is
-/// `a`); `matmul`/`matmul_at_b` (backward products over dense activations)
-/// always run packed.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SparseBackend;
-
-impl Backend for SparseBackend {
-    fn name(&self) -> &'static str {
-        "sparse"
-    }
-
-    fn matmul(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k, n) = ab_dims(a, b);
-        gemm("sparse", Variant::Ab, a.data(), b.data(), m, k, n)
-    }
-
-    fn matmul_at_b(&self, a: &Tensor, b: &Tensor) -> Tensor {
-        let (m, k, n) = atb_dims(a, b);
-        gemm("sparse", Variant::AtB, a.data(), b.data(), m, k, n)
+        gemm(Variant::AtB, a.data(), b.data(), m, k, n)
     }
 
     fn matmul_a_bt(&self, a: &Tensor, b: &Tensor) -> Tensor {
@@ -335,13 +301,13 @@ impl Backend for SparseBackend {
             Some(csr) => {
                 let _kt = kernel_timer_call(KernelCall {
                     name: "matmul_a_bt",
-                    backend: "sparse",
+                    backend: "packed",
                     routine: "csr_abt",
                     shape: [m, k, n],
                 });
                 crate::sparse::csr_matmul_a_bt(a, csr, m, k, n)
             }
-            None => gemm("sparse", Variant::ABt, a.data(), b.data(), m, k, n),
+            None => gemm(Variant::ABt, a.data(), b.data(), m, k, n),
         }
     }
 
@@ -351,13 +317,13 @@ impl Backend for SparseBackend {
             Some(csr) => {
                 let _kt = kernel_timer_call(KernelCall {
                     name: "matvec",
-                    backend: "sparse",
+                    backend: "packed",
                     routine: "csr_matvec",
                     shape: [m, n, 1],
                 });
                 crate::sparse::csr_matvec(csr, x, m, n)
             }
-            None => packed_matvec("sparse", a, x),
+            None => packed_matvec(a, x),
         }
     }
 }
@@ -368,11 +334,8 @@ pub static SCALAR: ScalarBackend = ScalarBackend;
 /// The packed production backend instance.
 pub static PACKED: PackedBackend = PackedBackend;
 
-/// The sparse serving backend instance.
-pub static SPARSE: SparseBackend = SparseBackend;
-
 /// Every registered backend, scalar oracle first.
-static BACKENDS: [&dyn Backend; 3] = [&SCALAR, &PACKED, &SPARSE];
+static BACKENDS: [&dyn Backend; 2] = [&SCALAR, &PACKED];
 
 /// All registered backends (the conformance suite iterates this so new
 /// backends are tested against the oracle just by joining the array).
@@ -399,7 +362,7 @@ fn default_from(env: Option<&str>) -> &'static dyn Backend {
             // pv-analyze: allow(lib-panic) -- an unknown PV_BACKEND is an
             // operator typo at process start; silently falling back would
             // run every experiment on the wrong backend
-            panic!("PV_BACKEND={name}: unknown backend (expected one of: scalar, packed, sparse)")
+            panic!("PV_BACKEND={name}: unknown backend (expected one of: scalar, packed)")
         }),
     }
 }
@@ -459,10 +422,10 @@ mod tests {
     #[test]
     fn registry_knows_every_backend() {
         let names: Vec<_> = all_backends().iter().map(|b| b.name()).collect();
-        assert_eq!(names, vec!["scalar", "packed", "sparse"]);
+        assert_eq!(names, vec!["scalar", "packed"]);
         assert_eq!(backend_by_name("packed").unwrap().name(), "packed");
         assert_eq!(backend_by_name("SCALAR").unwrap().name(), "scalar");
-        assert_eq!(backend_by_name("Sparse").unwrap().name(), "sparse");
+        assert!(backend_by_name("sparse").is_none());
         assert!(backend_by_name("quantized").is_none());
         assert!(backend_by_name("").is_none());
     }
@@ -533,7 +496,7 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_routes_csr_and_fallback_identically() {
+    fn packed_backend_routes_csr_and_fallback_identically() {
         let mut rng = Rng::new(34);
         // a 90%-sparse weight [n, k] for the forward product A·Bᵀ
         let (m, k, n) = (6, 48, 32);
@@ -546,18 +509,18 @@ mod tests {
             }
         });
         let dense_result = SCALAR.matmul_a_bt(&a, &w);
-        // without a sidecar the sparse backend is the packed fallback
-        assert_eq!(SPARSE.matmul_a_bt(&a, &w), dense_result);
+        // without a sidecar the packed pipeline runs
+        assert_eq!(PACKED.matmul_a_bt(&a, &w), dense_result);
         assert!(w.ensure_csr(crate::sparse::DEFAULT_MAX_DENSITY));
         // with a sidecar the CSR kernel must agree with the oracle
-        assert_eq!(SPARSE.matmul_a_bt(&a, &w), dense_result);
+        assert_eq!(PACKED.matmul_a_bt(&a, &w), dense_result);
 
         let x = Tensor::rand_uniform(&[k], -1.0, 1.0, &mut rng);
         let mut wv = w.clone();
         wv.clear_csr();
         let dense_y = SCALAR.matvec(&wv, &x);
-        assert_eq!(SPARSE.matvec(&wv, &x), dense_y);
-        assert_eq!(SPARSE.matvec(&w, &x), dense_y);
+        assert_eq!(PACKED.matvec(&wv, &x), dense_y);
+        assert_eq!(PACKED.matvec(&w, &x), dense_y);
     }
 
     #[test]

@@ -11,12 +11,12 @@
 //! * [`Tensor`] — dense row-major storage with element-wise algebra,
 //!   reductions, and row-wise softmax;
 //! * [`backend`] — the pluggable kernel seam: every hot kernel is a
-//!   [`Backend`] trait method, with [`PackedBackend`] (production),
-//!   [`SparseBackend`] (CSR kernels for pruned weights), and
+//!   [`Backend`] trait method, with [`PackedBackend`] (production) and
 //!   [`ScalarBackend`] (the bitwise oracle) selected at runtime via
 //!   `PV_BACKEND` or a [`with_backend`] scope;
-//! * [`sparse`] — CSR weight storage ([`Csr`]) behind the sparse
-//!   backend, cached per tensor via [`Tensor::ensure_csr`];
+//! * [`sparse`] — CSR weight storage ([`Csr`]) and kernels, cached per
+//!   tensor via [`Tensor::ensure_csr`]; the packed backend routes a
+//!   weight through them whenever it carries that sidecar;
 //! * [`matmul`] / [`matmul_at_b`] / [`matmul_a_bt`] — the three dense
 //!   products required by a linear layer and its backward pass; on the
 //!   packed backend they are routed per problem shape by [`fn@select`]
@@ -67,9 +67,14 @@ pub mod sparse;
 pub mod stats;
 pub mod tensor;
 
+/// [`PACKED`] under the retired sparse backend's name, kept only because
+/// the repository benchmark (`e2ebench/`) pins models with it; CSR routing
+/// follows each weight's sidecar either way. Goes when that benchmark
+/// next changes.
+pub use backend::PACKED as SPARSE;
 pub use backend::{
     all_backends, backend_by_name, current_backend, with_backend, Backend, PackedBackend,
-    ScalarBackend, SparseBackend, PACKED, SCALAR, SPARSE,
+    ScalarBackend, PACKED, SCALAR,
 };
 pub use conv::{
     col2im, concat_channels, conv2d_backward, conv2d_forward, global_avg_pool_backward,

@@ -36,53 +36,6 @@ use crate::par::{parallel_for_chunks_mut, worker_count};
 use crate::select::{select, select_matvec, Routine, Variant};
 use crate::tensor::Tensor;
 
-/// Deprecated free-function aliases for the scalar oracle.
-///
-/// The oracle is now a first-class backend —
-/// [`crate::backend::ScalarBackend`] — whose methods time and route like
-/// any other backend's. These wrappers keep pre-backend call sites
-/// compiling; they forward to the same scalar bodies the backend uses, so
-/// results remain bitwise identical either way.
-pub mod reference {
-    use crate::tensor::Tensor;
-
-    /// Oracle for [`matmul`](super::matmul): `C = A·B`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul (the ScalarBackend)"
-    )]
-    pub fn matmul_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul(a, b)
-    }
-
-    /// Oracle for [`matmul_at_b`](super::matmul_at_b): `C = Aᵀ·B`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul_at_b (the ScalarBackend)"
-    )]
-    pub fn matmul_at_b_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul_at_b(a, b)
-    }
-
-    /// Oracle for [`matmul_a_bt`](super::matmul_a_bt): `C = A·Bᵀ`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matmul_a_bt (the ScalarBackend)"
-    )]
-    pub fn matmul_a_bt_ref(a: &Tensor, b: &Tensor) -> Tensor {
-        super::scalar_matmul_a_bt(a, b)
-    }
-
-    /// Oracle for [`matvec`](super::matvec): `y = A·x`.
-    #[deprecated(
-        since = "0.7.0",
-        note = "use pv_tensor::SCALAR.matvec (the ScalarBackend)"
-    )]
-    pub fn matvec_ref(a: &Tensor, x: &Tensor) -> Tensor {
-        super::scalar_matvec(a, x)
-    }
-}
-
 /// Shape-checks one `C = A·B` problem and returns `(m, k, n)`.
 ///
 /// Shared by every backend so the panic messages (and the
@@ -385,11 +338,9 @@ fn gemm_direct(
 }
 
 /// Shape-selects and runs one packed-pipeline product; shared tail of the
-/// [`crate::backend::PackedBackend`] GEMM methods and of the sparse
-/// backend's dense fallback (dims already checked by the caller).
-/// `backend` labels the obs span with whichever backend dispatched here.
+/// [`crate::backend::PackedBackend`] GEMM methods (dims already checked
+/// by the caller).
 pub(crate) fn gemm(
-    backend: &'static str,
     variant: Variant,
     ad: &[f32],
     bd: &[f32],
@@ -400,7 +351,7 @@ pub(crate) fn gemm(
     let routine = select(variant, m, k, n);
     let _kt = crate::profile::kernel_timer_call(crate::profile::KernelCall {
         name: variant.kernel_name(),
-        backend,
+        backend: "packed",
         routine: routine.name(),
         shape: [m, k, n],
     });
@@ -419,12 +370,12 @@ pub(crate) fn gemm(
 /// Packed-pipeline matvec `y = A·x` (dims already checked by the caller):
 /// routes through [`select_matvec`] to the same `MR`-row dot driver as
 /// `n == 1` GEMMs, or the serial scalar loop below the packing threshold.
-pub(crate) fn packed_matvec(backend: &'static str, a: &Tensor, x: &Tensor) -> Tensor {
+pub(crate) fn packed_matvec(a: &Tensor, x: &Tensor) -> Tensor {
     let (m, n) = (a.dim(0), a.dim(1));
     let routine = select_matvec(m, n);
     let _kt = crate::profile::kernel_timer_call(crate::profile::KernelCall {
         name: "matvec",
-        backend,
+        backend: "packed",
         routine: routine.name(),
         shape: [m, n, 1],
     });
@@ -613,23 +564,8 @@ mod tests {
         for &(m, n) in &[(1, 1), (29, 16), (257, 64), (4096, 64), (4099, 3)] {
             let a = Tensor::rand_uniform(&[m, n], -1.0, 1.0, &mut rng);
             let x = Tensor::rand_uniform(&[n], -1.0, 1.0, &mut rng);
-            assert_eq!(
-                packed_matvec("packed", &a, &x),
-                scalar_matvec(&a, &x),
-                "{m}x{n}"
-            );
+            assert_eq!(packed_matvec(&a, &x), scalar_matvec(&a, &x), "{m}x{n}");
         }
-    }
-
-    #[test]
-    fn deprecated_reference_wrappers_still_forward() {
-        #![allow(deprecated)]
-        let mut rng = Rng::new(25);
-        let a = Tensor::rand_uniform(&[6, 5], -1.0, 1.0, &mut rng);
-        let b = Tensor::rand_uniform(&[5, 4], -1.0, 1.0, &mut rng);
-        assert_eq!(reference::matmul_ref(&a, &b), scalar_matmul(&a, &b));
-        let x = Tensor::rand_uniform(&[5], -1.0, 1.0, &mut rng);
-        assert_eq!(reference::matvec_ref(&a, &x), scalar_matvec(&a, &x));
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! CSR (compressed sparse row) weight storage and the sparse kernels
-//! behind [`crate::backend::SparseBackend`].
+//! [`crate::backend::PackedBackend`] routes a weight through when it
+//! carries a CSR sidecar.
 //!
 //! Pruned networks carry masked weights whose zeros the dense backends
 //! still multiply. [`Csr`] stores only the nonzeros of a 2-D weight —
@@ -30,12 +31,13 @@ use crate::tensor::Tensor;
 /// Default routing threshold: weights at or below this nonzero density get
 /// a CSR sidecar (and thus the sparse kernels); denser ones stay on the
 /// packed pipeline. The scalar one-fma-per-nonzero walk gives up the
-/// packed pipeline's SIMD throughput, so byte-count parity (~0.25) is
-/// *not* the crossover: the serve benchmark (`BENCH_serve.json`'s
-/// prune-ratio curve) measures CSR losing to packed around 0.25 density
-/// and winning clearly by 0.10. 0.15 keeps the default conservative —
-/// 50/70%-pruned layers stay on the dense fallback, 90/95% go sparse and
-/// pay off.
+/// packed pipeline's SIMD throughput, so byte-count parity is *not* the
+/// crossover: the kernels bench's `matmul_a_bt 8x4096x4096` rows
+/// (`BENCH_kernels.json`) measure CSR losing to packed at 0.50 density,
+/// 1.8x ahead at 0.25, 3x at 0.15 and 9x at 0.05, against a dense path
+/// that still re-packs the weight on every call. 0.15 keeps the default
+/// conservative for when that dense path gets faster — 50/70%-pruned
+/// layers stay on the packed pipeline, 90/95% go sparse.
 pub const DEFAULT_MAX_DENSITY: f32 = 0.15;
 
 /// A 2-D tensor's nonzeros in compressed sparse row form.

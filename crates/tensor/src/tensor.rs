@@ -618,7 +618,9 @@ impl Tensor {
     ///
     /// Idempotent (an existing sidecar is kept), and a no-op — returning
     /// `false` — for non-matrices and for tensors too dense to profit from
-    /// sparse kernels. Clones share the sidecar through an `Arc`, so
+    /// sparse kernels. The density is counted before anything is
+    /// compressed, so rejecting a dense weight costs one read-only scan
+    /// and no allocation. Clones share the sidecar through an `Arc`, so
     /// preparing a model once covers every per-worker copy of it.
     pub fn ensure_csr(&mut self, max_density: f32) -> bool {
         if self.csr.is_some() {
@@ -627,13 +629,12 @@ impl Tensor {
         if self.ndim() != 2 || self.is_empty() {
             return false;
         }
-        let csr = crate::sparse::Csr::from_dense(self);
-        if csr.density() <= f64::from(max_density) {
-            self.csr = Some(std::sync::Arc::new(csr));
-            true
-        } else {
-            false
+        // the same nnz / len ratio as `Csr::density`
+        if self.count_nonzero() as f64 / self.len() as f64 > f64::from(max_density) {
+            return false;
         }
+        self.csr = Some(std::sync::Arc::new(crate::sparse::Csr::from_dense(self)));
+        true
     }
 
     /// Drops the cached CSR sidecar (if any).
@@ -815,7 +816,8 @@ mod tests {
         let mut t = Tensor::from_vec(vec![2, 4], vec![0.0, 3.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0]);
         assert!(t.csr().is_none());
         assert!(!t.ensure_csr(0.1), "too dense for threshold 0.1");
-        assert!(t.ensure_csr(0.25));
+        assert!(t.csr().is_none());
+        assert!(t.ensure_csr(0.25), "density == max_density is inclusive");
         let csr = t.csr().expect("sidecar built");
         assert_eq!(csr.nnz(), 2);
         // idempotent: a second call keeps the sidecar even below threshold
@@ -839,9 +841,12 @@ mod tests {
         plain.data_mut()[0] = 0.0;
         assert!(plain.csr().is_none());
 
-        // non-matrices never build one
+        // non-matrices and dense weights never build one
         let mut v = Tensor::zeros(&[4]);
         assert!(!v.ensure_csr(1.0));
+        let mut dense = Tensor::ones(&[8, 8]);
+        assert!(!dense.ensure_csr(crate::sparse::DEFAULT_MAX_DENSITY));
+        assert!(dense.csr().is_none());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! identical** to [`ScalarBackend`](pv_tensor::ScalarBackend) — not
 //! approximately equal — on every kernel, at every thread count.
 //! `Tensor` derives exact `PartialEq` over `f32` storage, so
-//! `assert_eq!` is a bit-for-bit check. A future sparse or quantized
-//! backend joins the registry and inherits this oracle for free.
+//! `assert_eq!` is a bit-for-bit check. A future quantized backend joins
+//! the registry and inherits this oracle for free.
 //!
 //! The shape grid deliberately hammers the degenerate and misaligned
 //! cases: single rows/columns, empty and unit `k`, extents that are not
@@ -20,7 +20,7 @@ use pv_tensor::microkernel::{MR, NR, NR_NARROW};
 use pv_tensor::par::set_thread_override;
 use pv_tensor::select::select_matvec;
 use pv_tensor::{
-    all_backends, select, with_backend, Backend, ConvGeometry, Routine, Variant, SCALAR,
+    all_backends, select, with_backend, Backend, ConvGeometry, Routine, Variant, PACKED, SCALAR,
 };
 use pv_tensor::{Rng, Tensor};
 use std::sync::Mutex;
@@ -207,10 +207,11 @@ fn sparsify(t: &Tensor, keep_one_in: usize, rng: &mut Rng) -> Tensor {
     Tensor::from_vec(t.shape().to_vec(), data)
 }
 
-/// The sparse backend's CSR routes (not just its dense fallback) must be
-/// bitwise-identical to the scalar oracle on pruned weights, at every
-/// thread count: skipping an exact-zero term in an fma chain is
-/// `==`-invisible for finite data, so no tolerance is granted.
+/// The packed backend's CSR routes must be bitwise-identical to the scalar
+/// oracle on pruned weights, at every thread count, whether called on
+/// `PACKED` directly or through the default free functions: skipping an
+/// exact-zero term in an fma chain is `==`-invisible for finite data, so
+/// no tolerance is granted.
 #[test]
 fn sparse_backend_csr_routes_match_scalar_oracle_bitwise() {
     let _guard = OVERRIDE_LOCK.lock().unwrap();
@@ -223,7 +224,7 @@ fn sparse_backend_csr_routes_match_scalar_oracle_bitwise() {
             &mut rng,
         );
         // force the sidecar so this exercises the CSR kernel, never the
-        // dense fallback (density 1.0 admits any nonzero count)
+        // dense pipeline (density 1.0 admits any nonzero count)
         let routed = bt.ensure_csr(1.0);
         assert_eq!(
             routed,
@@ -233,10 +234,17 @@ fn sparse_backend_csr_routes_match_scalar_oracle_bitwise() {
         let want = SCALAR.matmul_a_bt(&a, &bt);
         assert_matches_oracle_at_all_thread_counts(
             "matmul_a_bt[csr]",
-            "sparse",
+            "packed",
             (m, k, n),
             &want,
-            || pv_tensor::SPARSE.matmul_a_bt(&a, &bt),
+            || PACKED.matmul_a_bt(&a, &bt),
+        );
+        assert_matches_oracle_at_all_thread_counts(
+            "matmul_a_bt[csr]",
+            "default",
+            (m, k, n),
+            &want,
+            || pv_tensor::matmul_a_bt(&a, &bt),
         );
     }
     for (m, n) in [(1, 1), (1, 37), (65, 1), (33, 129), (257, 64), (4096, 3)] {
@@ -250,10 +258,17 @@ fn sparse_backend_csr_routes_match_scalar_oracle_bitwise() {
         let want = SCALAR.matvec(&a, &x);
         assert_matches_oracle_at_all_thread_counts(
             "matvec[csr]",
-            "sparse",
+            "packed",
             (m, n, 1),
             &want,
-            || pv_tensor::SPARSE.matvec(&a, &x),
+            || PACKED.matvec(&a, &x),
+        );
+        assert_matches_oracle_at_all_thread_counts(
+            "matvec[csr]",
+            "default",
+            (m, n, 1),
+            &want,
+            || pv_tensor::matvec(&a, &x),
         );
     }
 }
@@ -285,30 +300,6 @@ fn free_functions_dispatch_through_scoped_backend() {
         let got = with_backend(*be, || pv_tensor::matmul(&a, &b));
         assert_eq!(got, want, "{}", be.name());
     }
-}
-
-/// The deprecated free-function oracle names must keep compiling and
-/// forwarding to the same scalar bodies the backend uses.
-#[test]
-#[allow(deprecated)]
-fn deprecated_reference_wrappers_match_scalar_backend() {
-    use pv_tensor::linalg::reference;
-    let mut rng = Rng::new(19);
-    let a = Tensor::rand_uniform(&[9, 8], -1.0, 1.0, &mut rng);
-    let b = Tensor::rand_uniform(&[8, 7], -1.0, 1.0, &mut rng);
-    assert_eq!(reference::matmul_ref(&a, &b), SCALAR.matmul(&a, &b));
-    let at = Tensor::rand_uniform(&[8, 9], -1.0, 1.0, &mut rng);
-    assert_eq!(
-        reference::matmul_at_b_ref(&at, &b),
-        SCALAR.matmul_at_b(&at, &b)
-    );
-    let bt = Tensor::rand_uniform(&[7, 8], -1.0, 1.0, &mut rng);
-    assert_eq!(
-        reference::matmul_a_bt_ref(&a, &bt),
-        SCALAR.matmul_a_bt(&a, &bt)
-    );
-    let x = Tensor::rand_uniform(&[8], -1.0, 1.0, &mut rng);
-    assert_eq!(reference::matvec_ref(&a, &x), SCALAR.matvec(&a, &x));
 }
 
 /// The grid is only a property suite if it actually routes through every

@@ -22,12 +22,6 @@ echo "==> tier-1 under the scalar oracle backend (PV_BACKEND=scalar)"
 # the packed pipeline's implementation details.
 PV_BACKEND=scalar cargo test -q
 
-echo "==> tier-1 under the sparse serving backend (PV_BACKEND=sparse)"
-# Dense tensors take the sparse backend's dense fallback, CSR-sidecar'd
-# weights the CSR kernels — either way every result must stay bitwise
-# equal to the scalar oracle, so the whole suite must pass unchanged.
-PV_BACKEND=sparse cargo test -q
-
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 

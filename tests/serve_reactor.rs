@@ -7,7 +7,8 @@
 //!   coalesced, and pipelined frames all decode, and pipelined replies
 //!   come back in request order;
 //! * malformed framing is answered once (`BadRequest`) and the
-//!   connection is closed; admission rejections keep it open;
+//!   connection is closed; admission rejections (including non-finite
+//!   payloads) keep it open;
 //! * a connection above the cap receives an explicit `Busy`, never a
 //!   silent drop;
 //! * slow-loris connections (bytes trickling, nothing in flight) are
@@ -19,6 +20,7 @@
 //! * graceful drain answers everything admitted, then exits.
 
 use pv_nn::{models, Mode};
+use pv_prune::{PruneContext, PruneMethod, WeightThresholding};
 use pv_serve::protocol::{encode_request, read_frame};
 use pv_serve::{serve, BatchConfig, Client, ModelRegistry, Request, ServerConfig, Status};
 use pv_tensor::{Rng, Tensor};
@@ -154,6 +156,45 @@ fn malformed_framing_answers_bad_request_then_closes() {
     let mut rest = Vec::new();
     let n = stream.read_to_end(&mut rest).expect("peer closes cleanly");
     assert_eq!(n, 0, "no bytes after the rejection");
+    handle.shutdown();
+}
+
+#[test]
+fn nonfinite_payloads_are_rejected_before_the_csr_kernels() {
+    // a WT-95% member: insert builds CSR sidecars, so the default backend
+    // skips zero weights, which matches the oracle for finite inputs only
+    let mut wt95 = models::mlp("wt95", IN_DIM, &[24, 16], CLASSES, false, 5);
+    WeightThresholding.prune(&mut wt95, 0.95, &PruneContext::data_free());
+    let mut reg = ModelRegistry::new();
+    reg.insert("wt95", wt95).expect("member admits");
+    let mut served = reg.get("wt95").cloned().expect("model registered");
+    // idempotent: counts the sidecars admission already built
+    assert!(served.prepare_sparse(pv_tensor::DEFAULT_MAX_DENSITY) > 0);
+
+    let mut handle = serve(
+        reg,
+        ServerConfig::default(),
+        Arc::new(pv_obs::MonotonicClock::new()),
+    )
+    .expect("server starts");
+    let mut client =
+        Client::connect(&handle.addr().to_string(), Duration::from_secs(10)).expect("connect");
+    for bad in [f32::NAN, f32::INFINITY] {
+        let mut x = sample(70);
+        x.data_mut()[3] = bad;
+        let resp = client.request("wt95", &x).expect("answered");
+        assert_eq!(resp.status, Status::BadRequest, "{bad} payload");
+        assert!(resp.output.is_none());
+    }
+    // the rejection keeps the connection: a finite payload on it still
+    // gets the scalar oracle's logits bit for bit
+    let x = sample(71);
+    let got = client.infer("wt95", &x).expect("finite payload served");
+    let want = pv_tensor::with_backend(&pv_tensor::SCALAR, || {
+        served.forward(&x.clone().reshape(&[1, IN_DIM]), Mode::Eval)
+    });
+    let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got), bits(&want));
     handle.shutdown();
 }
 
